@@ -1,0 +1,5 @@
+"""Benchmark of the repro stack: ``fit``, ``serve`` and ``update-churn`` workloads.
+
+Run it with ``python3 perfbench/run.py --workload NAME --seed N --seconds S
+--trace 0|1`` from the repository root; see ``perfbench/README.md``.
+"""
