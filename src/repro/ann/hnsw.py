@@ -42,7 +42,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from .knn import NeighborResult
+from .knn import NeighborResult, stable_top_k
 
 #: Hard ceiling on assigned levels; with ``level_p = 0.5`` the chance of
 #: any record exceeding it is ~6e-8 per record.
@@ -101,7 +101,7 @@ def _merge_neighbors(
     np.put_along_axis(duplicate, by_id, dup_sorted, axis=1)
     merged_d = merged_d.copy()
     merged_d[duplicate | (merged_idx < 0)] = np.inf
-    order = np.argsort(merged_d, axis=1, kind="stable")[:, :top_m]
+    order = stable_top_k(merged_d, top_m)
     nbr[rows_idx] = np.take_along_axis(merged_idx, order, axis=1)
     nbrd[rows_idx] = np.take_along_axis(merged_d, order, axis=1)
 
@@ -243,7 +243,7 @@ class HnswGraphIndex:
                 dists = sq[idx][:, None] - 2.0 * (tile @ tile.T) + sq[idx][None, :]
                 np.fill_diagonal(dists, np.inf)
                 keep = min(top_m, len(idx) - 1)
-                best = np.argsort(dists, axis=1, kind="stable")[:, :keep]
+                best = stable_top_k(dists, keep)
                 _merge_neighbors(
                     nbr, nbrd, idx, idx[best], np.take_along_axis(dists, best, axis=1)
                 )
@@ -286,7 +286,7 @@ class HnswGraphIndex:
             dists = sq[:, None] - 2.0 * (member_vectors @ member_vectors.T) + sq[None, :]
             np.fill_diagonal(dists, np.inf)
             keep = min(self.m_neighbors, n - 1)
-            nbr = np.argsort(dists, axis=1, kind="stable")[:, :keep]
+            nbr = stable_top_k(dists, keep)
             nbrd = np.take_along_axis(dists, nbr, axis=1)
             return _symmetrize(nbr, nbrd, self.edge_cap)
         nbr, nbrd = self._srp_init(member_vectors, sq, seed)
@@ -442,7 +442,8 @@ class HnswGraphIndex:
         pool = np.unique(pool)
         pool = pool[pool != node]
         dists = self._sq[pool] - 2.0 * (self._data[pool] @ self._data[node]) + self._sq[node]
-        order = np.lexsort((pool, dists))[: self.edge_cap]
+        # ``pool`` is ascending, so index order is id order.
+        order = stable_top_k(dists, self.edge_cap)
         row = np.full(self.edge_cap, -1, dtype=np.int64)
         row[: len(order)] = pool[order]
         return row

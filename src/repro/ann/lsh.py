@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from .knn import NeighborResult
+from .knn import NeighborResult, stable_top_k
 
 
 class SrpBandIndex:
@@ -198,7 +198,7 @@ class SrpBandIndex:
             )
             # ``candidates`` is ascending, so the stable sort breaks
             # distance ties by index — same rule as the exact index.
-            order = np.argsort(dists, kind="stable")[:effective_k]
+            order = stable_top_k(dists, effective_k)
             indices[row, : len(order)] = candidates[order]
             distances[row, : len(order)] = dists[order]
         return NeighborResult(indices=indices, distances=distances)

@@ -104,11 +104,18 @@ class SAGEConvolution(Module):
         self.linear = Linear(2 * in_dim, out_dim, rng=rng, init="he")
         self.activation = activation
 
-    def forward(self, hidden: Tensor, aggregation: GraphAggregation) -> Tensor:
-        neighborhood = aggregation(hidden)
-        combined = Tensor.concat([hidden, neighborhood], axis=1)
+    @staticmethod
+    def combine(hidden: Tensor, aggregation: GraphAggregation) -> Tensor:
+        """The linear layer's input ``concat(h, AGG(h_N))``."""
+        return Tensor.concat([hidden, aggregation(hidden)], axis=1)
+
+    def transform(self, combined: Tensor) -> Tensor:
+        """Apply the linear layer (and activation) to a combined input."""
         out = self.linear(combined)
         return out.relu() if self.activation else out
+
+    def forward(self, hidden: Tensor, aggregation: GraphAggregation) -> Tensor:
+        return self.transform(self.combine(hidden, aggregation))
 
 
 class GraphSAGE(Module):
@@ -142,10 +149,23 @@ class GraphSAGE(Module):
         """Number of stacked GraphSAGE convolutions."""
         return len(self._convolutions)
 
-    def node_embeddings(self, features: Tensor, aggregation: GraphAggregation) -> Tensor:
-        """Final hidden state of every node after message propagation."""
-        hidden = features
-        for convolution in self._convolutions:
+    def node_embeddings(
+        self,
+        features: Tensor,
+        aggregation: GraphAggregation,
+        first_input: Tensor | None = None,
+    ) -> Tensor:
+        """Final hidden state of every node after message propagation.
+
+        ``first_input`` is ``SAGEConvolution.combine(features,
+        aggregation)`` when the caller already holds it: features are
+        constant, so a training loop builds it once for all epochs.
+        """
+        first, *rest = self._convolutions
+        if first_input is None:
+            first_input = first.combine(features, aggregation)
+        hidden = first.transform(first_input)
+        for convolution in rest:
             hidden = convolution(hidden, aggregation)
         return hidden
 
@@ -167,9 +187,14 @@ class GraphSAGE(Module):
             states.append(hidden.numpy())
         return states
 
-    def forward(self, features: Tensor, aggregation: GraphAggregation) -> Tensor:
-        """Class logits for every node."""
-        return self.head(self.node_embeddings(features, aggregation))
+    def forward(
+        self,
+        features: Tensor,
+        aggregation: GraphAggregation,
+        first_input: Tensor | None = None,
+    ) -> Tensor:
+        """Class logits for every node (``first_input`` as in :meth:`node_embeddings`)."""
+        return self.head(self.node_embeddings(features, aggregation, first_input))
 
 
 class FrozenSAGE:
@@ -328,15 +353,31 @@ class IntentNodeClassifier:
 
         features = Tensor(graph.features)
         aggregation = GraphAggregation.from_graph(graph, mode=self.config.aggregator)
+        first_input = SAGEConvolution.combine(features, aggregation)
         model = GraphSAGE(graph.feature_dim, self.config)
         optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
+        validating = valid_nodes is not None and valid_labels is not None
+        if validating:
+            valid_labels = np.asarray(valid_labels, dtype=np.int64)
 
         losses: list[float] = []
         best_f1 = -1.0
-        best_state = model.state_dict()
-        for _ in range(self.config.epochs):
-            model.train()
-            logits = model(features, aggregation)
+        best_state: dict[str, np.ndarray] = {}
+        best_probabilities: np.ndarray | None = None
+        model.train()
+        for epoch in range(self.config.epochs + 1):
+            # Without dropout, training and evaluation forwards are the same
+            # arithmetic: this forward also scores the previous step, and
+            # the extra last one scores the final step.
+            logits = model(features, aggregation, first_input)
+            if validating and epoch > 0:
+                probabilities = logits.detach().softmax(axis=1).numpy()
+                valid_predictions = (probabilities[valid_nodes, 1] >= 0.5).astype(np.int64)
+                f1 = _binary_f1(valid_predictions, valid_labels)
+                if f1 > best_f1:
+                    best_f1, best_state, best_probabilities = f1, model.state_dict(), probabilities
+            if epoch == self.config.epochs:
+                break
             train_logits = logits.index_select(train_nodes)
             loss = cross_entropy(train_logits, train_labels)
             if self.config.weight_decay:
@@ -346,20 +387,12 @@ class IntentNodeClassifier:
             optimizer.step()
             losses.append(loss.item())
 
-            if valid_nodes is not None and valid_labels is not None:
-                model.eval()
-                with_probabilities = model(features, aggregation).softmax(axis=1).numpy()
-                valid_predictions = (with_probabilities[valid_nodes, 1] >= 0.5).astype(np.int64)
-                f1 = _binary_f1(valid_predictions, np.asarray(valid_labels, dtype=np.int64))
-                if f1 > best_f1:
-                    best_f1 = f1
-                    best_state = model.state_dict()
-
-        if valid_nodes is not None and valid_labels is not None and best_f1 >= 0:
-            model.load_state_dict(best_state)
-
         model.eval()
-        probabilities = model(features, aggregation).softmax(axis=1).numpy()
+        if validating:
+            model.load_state_dict(best_state)
+            probabilities = best_probabilities
+        else:
+            probabilities = logits.detach().softmax(axis=1).numpy()
         layer_probabilities = probabilities[layer_nodes, 1]
         self._model = model
         self.result = GNNTrainingResult(

@@ -86,13 +86,16 @@ class Tensor:
     def _accumulate(self, gradient: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        # The gradient buffer is privately owned (allocated above or by a
+        # The gradient buffer is privately owned (allocated here or by a
         # copy in ``backward``), so accumulation is in-place — one fused
         # add instead of an allocation per contribution.  ``gradient``
-        # may be any view broadcastable to the buffer's shape.
-        self.grad += gradient
+        # may be any view broadcastable to the buffer's shape.  The first
+        # contribution is written as ``gradient + 0.0``, the same values
+        # (signed zeros included) as adding it to a zeroed buffer.
+        if self.grad is None:
+            self.grad = np.add(gradient, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += gradient
 
     @staticmethod
     def _lift(value: "Tensor" | ArrayLike) -> "Tensor":
@@ -177,8 +180,11 @@ class Tensor:
 
         def _backward() -> None:
             assert out.grad is not None
-            self._accumulate(out.grad @ other.data.T)
-            other._accumulate(self.data.T @ out.grad)
+            # Each product is skipped when its operand keeps no gradient.
+            if self.requires_grad:
+                self._accumulate(out.grad @ other.data.T)
+            if other.requires_grad:
+                other._accumulate(self.data.T @ out.grad)
 
         out._backward = _backward
         return out

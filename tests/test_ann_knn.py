@@ -2,13 +2,118 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.ann import ExactNearestNeighbors
+from repro.ann import ExactNearestNeighbors, knn
+from repro.ann.knn import stable_top_k
 from repro.exceptions import ConfigurationError
+
+
+def reference_top_k(values: np.ndarray, k: int) -> np.ndarray:
+    """The full stable sort that :func:`stable_top_k` must reproduce."""
+    return np.argsort(values, axis=-1, kind="stable")[..., :k]
+
+
+def partial_path():
+    """Let the partial selection run on rows of any length."""
+    return mock.patch.object(knn, "PARTIAL_SORT_MIN_COLUMNS", 1)
+
+
+@st.composite
+def tied_distances(draw, max_rows=6, max_columns=24):
+    """Integer-valued rows (heavy ties) with +inf cells and NaN cells or rows."""
+    shape = draw(st.tuples(st.integers(1, max_rows), st.integers(1, max_columns)))
+    values = draw(
+        hnp.arrays(
+            np.float64,
+            shape,
+            elements=st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, np.inf, np.nan]),
+        )
+    )
+    if draw(st.booleans()):
+        values[draw(st.integers(0, shape[0] - 1))] = np.nan
+    return values
+
+
+class TestStableTopK:
+    @given(values=tied_distances(), k=st.integers(1, 30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_stable_sort(self, values, k):
+        expected = reference_top_k(values, k)
+        assert np.array_equal(stable_top_k(values, k), expected)
+        with partial_path():
+            top = stable_top_k(values, k)
+        assert top.dtype == expected.dtype
+        assert np.array_equal(top, expected)
+
+    @given(values=tied_distances(max_rows=1), k=st.integers(1, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_one_dimensional_rows(self, values, k):
+        row = values[0]
+        with partial_path():
+            assert np.array_equal(stable_top_k(row, k), reference_top_k(row, k))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (4, 6), (0, 9)])
+    def test_k_equal_to_and_beyond_row_length(self, shape):
+        values = np.random.default_rng(0).integers(0, 3, size=shape).astype(np.float64)
+        columns = shape[1]
+        with partial_path():
+            for k in (1, columns, columns + 3):
+                assert np.array_equal(stable_top_k(values, k), reference_top_k(values, k))
+
+    def test_long_rows_take_the_partial_path(self):
+        rng = np.random.default_rng(1)
+        values = rng.integers(0, 40, size=(5, 3 * knn.PARTIAL_SORT_MIN_COLUMNS)).astype(float)
+        values[1, 7] = np.nan
+        values[3] = np.nan
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            top = stable_top_k(values, 6)
+        assert np.array_equal(top, reference_top_k(values, 6))
+        # Only candidate sets are sorted, plus the whole NaN row 3.
+        assert max(call.args[0].shape[-1] for call in argsort.call_args_list) == values.shape[1]
+        assert argsort.call_args_list[0].args[0].shape[-1] == 6
+
+    @given(
+        data=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(2, 30), st.integers(1, 3)),
+            elements=st.integers(-2, 2).map(float),
+        ),
+        k=st.integers(1, 32),
+        chunk_size=st.integers(1, 8),
+        start=st.integers(-3, 30),
+        exclude_self=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_chunked_search_matches_full_sort(self, data, k, chunk_size, start, exclude_self):
+        """Integer points: distances are exact, so ties are real ties."""
+        queries = data[max(start, 0) : max(start, 0) + 7]
+        if queries.shape[0] == 0:
+            queries = data[:1]
+        offset = start
+        distances = ((queries[:, np.newaxis, :] - data[np.newaxis, :, :]) ** 2).sum(axis=2)
+        if exclude_self:
+            for row in range(queries.shape[0]):
+                if 0 <= offset + row < data.shape[0]:
+                    distances[row, offset + row] = np.inf
+        effective_k = min(k, data.shape[0] - (1 if exclude_self else 0))
+        expected = reference_top_k(distances, effective_k)
+        with partial_path():
+            for size in (chunk_size, 1024):
+                result = (
+                    ExactNearestNeighbors(chunk_size=size)
+                    .fit(data)
+                    .search(queries, k, exclude_self=exclude_self, query_offset=offset)
+                )
+                assert np.array_equal(result.indices, expected)
+                assert np.array_equal(
+                    result.distances, np.take_along_axis(distances, expected, axis=1)
+                )
 
 
 class TestExactNearestNeighbors:

@@ -15,7 +15,8 @@ from repro.graph import (
     MultiplexGraph,
     SAGEConvolution,
 )
-from repro.nn import Tensor
+from repro.graph.sage import _binary_f1
+from repro.nn import Adam, Tensor, cross_entropy, l2_penalty
 
 
 def random_representations(num_pairs=20, dim=8, intents=("a", "b", "c"), seed=0):
@@ -246,3 +247,89 @@ class TestIntentNodeClassifier:
 
         with pytest.raises(NotFittedError):
             classifier.predict()
+
+
+def two_forward_fit_predict(
+    config, graph, target, train_index, train_labels, valid_index=None, valid_labels=None
+):
+    """The earlier training loop: a separate evaluation forward after every step.
+
+    Kept as the reference that ``IntentNodeClassifier.fit_predict`` must
+    reproduce bit for bit.  Returns the losses, best validation F1, layer
+    probabilities, parameters and hidden states.
+    """
+    layer_nodes = graph.layer_nodes(target)
+    train_nodes = layer_nodes[train_index]
+    valid_nodes = layer_nodes[valid_index] if valid_index is not None else None
+    features = Tensor(graph.features)
+    aggregation = GraphAggregation.from_graph(graph, mode=config.aggregator)
+    model = GraphSAGE(graph.feature_dim, config)
+    optimizer = Adam(model.parameters(), lr=config.learning_rate)
+    losses = []
+    best_f1 = -1.0
+    best_state = model.state_dict()
+    for _ in range(config.epochs):
+        model.train()
+        logits = model(features, aggregation)
+        loss = cross_entropy(logits.index_select(train_nodes), train_labels)
+        if config.weight_decay:
+            loss = loss + l2_penalty(list(model.parameters()), config.weight_decay)
+        optimizer.zero_grad()
+        loss.backward()
+        optimizer.step()
+        losses.append(loss.item())
+        if valid_nodes is not None:
+            model.eval()
+            probabilities = model(features, aggregation).softmax(axis=1).numpy()
+            predictions = (probabilities[valid_nodes, 1] >= 0.5).astype(np.int64)
+            f1 = _binary_f1(predictions, valid_labels)
+            if f1 > best_f1:
+                best_f1 = f1
+                best_state = model.state_dict()
+    if valid_nodes is not None and best_f1 >= 0:
+        model.load_state_dict(best_state)
+    model.eval()
+    probabilities = model(features, aggregation).softmax(axis=1).numpy()[layer_nodes, 1]
+    hidden = model.hidden_states(features, aggregation)
+    return losses, max(best_f1, 0.0), probabilities, model.state_dict(), hidden
+
+
+class TestTrainingLoopEquivalence:
+    """The single-forward loop gives bit-identical results to the two-forward one."""
+
+    @pytest.mark.parametrize(
+        ("epochs", "weight_decay", "validate"),
+        [(25, 0.0, True), (25, 0.0, False), (1, 0.0, True), (25, 1e-3, True)],
+        ids=["validation", "no-validation", "one-epoch", "weight-decay"],
+    )
+    def test_matches_two_forward_loop(self, epochs, weight_decay, validate):
+        rng = np.random.default_rng(1)
+        num_pairs = 60
+        signal = rng.normal(size=(num_pairs, 1))
+        labels = (signal[:, 0] + 0.8 * rng.normal(size=num_pairs) > 0).astype(np.int64)
+        representations = {
+            "target": np.hstack([signal, rng.normal(size=(num_pairs, 5))]),
+            "other": rng.normal(size=(num_pairs, 6)),
+        }
+        graph = IntentGraphBuilder(GraphConfig(k_neighbors=3)).build(representations)
+        config = GNNConfig(hidden_dim=8, epochs=epochs, seed=3, weight_decay=weight_decay)
+        train_index = np.arange(0, 30)
+        valid_index = np.arange(30, 45) if validate else None
+        valid_labels = labels[30:45] if validate else None
+
+        classifier = IntentNodeClassifier(config)
+        result = classifier.fit_predict(
+            graph, "target", train_index, labels[train_index], valid_index, valid_labels
+        )
+        losses, best_f1, probabilities, state, hidden = two_forward_fit_predict(
+            config, graph, "target", train_index, labels[train_index], valid_index, valid_labels
+        )
+
+        assert result.losses == losses
+        assert result.best_validation_f1 == best_f1
+        assert np.array_equal(result.probabilities, probabilities)
+        ours = classifier.model_state()
+        assert ours.keys() == state.keys()
+        assert all(np.array_equal(ours[name], state[name]) for name in state)
+        for level, expected in zip(classifier.hidden_states(graph), hidden, strict=True):
+            assert np.array_equal(level, expected)
