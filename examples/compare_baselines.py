@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import FlexER, FlexERConfig, evaluate_solution, load_benchmark
+from repro import FlexERConfig, Resolver, evaluate_solution, load_benchmark
 from repro.core import MIERSolution
 from repro.evaluation import format_table, multi_intent_error_reduction
 from repro.matching import InParallelSolver, MultiLabelSolver, NaiveSolver
@@ -39,9 +39,7 @@ def main(dataset_name: str = "amazon_mi") -> None:
         )
         evaluations[name] = evaluate_solution(solution)
 
-    flexer = FlexER(benchmark.intents, config)
-    flexer.fit(split.train, split.valid if len(split.valid) > 0 else None)
-    result = flexer.predict(split.test)
+    result = Resolver(config).resolve(split, intents=benchmark.intents)
     evaluations["FlexER"] = evaluate_solution(result.solution)
 
     rows = []

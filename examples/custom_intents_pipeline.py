@@ -24,7 +24,6 @@ from __future__ import annotations
 from repro import (
     CandidateSet,
     Dataset,
-    FlexER,
     FlexERConfig,
     GNNConfig,
     GraphConfig,
@@ -32,6 +31,7 @@ from repro import (
     MatcherConfig,
     QGramBlocker,
     Record,
+    Resolver,
     SplitRatio,
     split_candidates,
 )
@@ -138,9 +138,7 @@ def main() -> None:
         graph=GraphConfig(k_neighbors=4),
         gnn=GNNConfig(hidden_dim=32, epochs=60, seed=3),
     )
-    flexer = FlexER(candidates.intents, config)
-    flexer.fit(split.train, split.valid if len(split.valid) > 0 else None)
-    result = flexer.predict(split.test)
+    result = Resolver(config).resolve(split, intents=candidates.intents)
     evaluation = evaluate_solution(result.solution)
 
     rows = [

@@ -8,8 +8,8 @@ resolution with the paper's measures, and then resolves a micro-batch of
 *held-out* records against the fitted corpus with ``model.query()`` —
 no refitting, candidates retrieved by the bundled ANN index.
 
-The pre-lifecycle one-shot pattern (``FlexER(...).run_split(split)``)
-still works behind a ``DeprecationWarning`` shim; see
+For a one-shot fit + predict over a split, call
+``repro.resolve(split, config=...)`` instead; see
 ``examples/end_to_end_resolve.py`` for persistence (save → load → query)
 and blocking-quality reporting.
 

@@ -152,6 +152,21 @@ _ARRAY_PREFIX = "array::"
 #: File extension of persisted artifacts.
 ARTIFACT_SUFFIX = ".npz"
 
+#: Byte boundary every member's data starts on inside a written
+#: container.  numpy pads each ``.npy`` header to 64 bytes, so aligned
+#: members give memory-mapped arrays aligned data pointers — and the
+#: same numpy kernels (hence the same floating-point results) as arrays
+#: loaded eagerly into fresh memory.
+_MEMBER_ALIGNMENT = 64
+
+#: Zip extra-field id of alignment padding (the ``zipalign`` convention).
+_ALIGNMENT_EXTRA_ID = 0xD935
+
+#: Fixed part of a zip local file header, and the zip64 extra field (id,
+#: size, and both 8-byte sizes) a local header carries when zip64 is on.
+_LOCAL_HEADER_SIZE = 30
+_ZIP64_EXTRA_SIZE = 20
+
 
 def write_artifact(
     path: str | Path,
@@ -199,7 +214,7 @@ def write_artifact(
     )
     try:
         with os.fdopen(descriptor, "wb") as handle:
-            np.savez(handle, **payload)
+            _write_aligned_npz(handle, payload)
             handle.flush()
             os.fsync(handle.fileno())
         fault = inject("storage.artifact_write")
@@ -212,6 +227,38 @@ def write_artifact(
         raise
     _fsync_directory(path.parent)
     return path
+
+
+def _write_aligned_npz(handle, payload: Mapping[str, np.ndarray]) -> None:
+    """Write ``payload`` like ``np.savez``, with every member 64-byte aligned.
+
+    ``np.savez`` places members at arbitrary offsets, so arrays mapped
+    in place by :class:`LazyArtifactArrays` can end up at unaligned
+    addresses, where numpy takes different code paths than for the same
+    array in fresh memory.  Each local header here carries a padding
+    extra field sized so the member's data starts on a
+    :data:`_MEMBER_ALIGNMENT` boundary; the container stays a plain
+    stored zip that ``np.load`` reads unchanged.
+    """
+    with zipfile.ZipFile(handle, mode="w", compression=zipfile.ZIP_STORED) as archive:
+        for key, value in payload.items():
+            info = zipfile.ZipInfo(f"{key}.npy")
+            header_size = (
+                _LOCAL_HEADER_SIZE
+                + len(info.filename.encode("utf-8"))
+                + len(_alignment_extra(0))
+                + _ZIP64_EXTRA_SIZE
+            )
+            info.extra = _alignment_extra(-(handle.tell() + header_size) % _MEMBER_ALIGNMENT)
+            # zip64 is forced, as np.savez does, so members may exceed 4 GiB.
+            with archive.open(info, mode="w", force_zip64=True) as member:
+                np.lib.format.write_array(member, value, allow_pickle=False)
+
+
+def _alignment_extra(padding: int) -> bytes:
+    """A zipalign-style extra field carrying ``padding`` zero bytes."""
+    header = struct.pack("<HHH", _ALIGNMENT_EXTRA_ID, 2 + padding, _MEMBER_ALIGNMENT)
+    return header + bytes(padding)
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -313,9 +360,9 @@ def read_artifact(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, ob
 def _zip_member_data_offsets(path: Path) -> dict[str, tuple[int, int]] | None:
     """Absolute ``(data_offset, size)`` of each stored zip member.
 
-    ``np.savez`` writes its members with ``ZIP_STORED`` (no compression),
-    which means every embedded ``.npy`` file sits as a contiguous byte
-    range inside the container — the precondition for memory-mapping it
+    Artifacts store their members with ``ZIP_STORED`` (no compression),
+    as ``np.savez`` does, which means every embedded ``.npy`` file sits
+    as a contiguous byte range inside the container — the precondition for memory-mapping it
     in place.  Returns ``None`` when any member is compressed or the
     local headers cannot be parsed (the caller falls back to an eager
     load).

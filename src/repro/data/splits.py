@@ -15,6 +15,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from .pairs import CandidateSet
+from .records import Dataset
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,18 @@ class DatasetSplit:
 
     def __iter__(self):
         return iter((self.train, self.valid, self.test))
+
+    def reanchor(self, dataset: Dataset) -> "DatasetSplit":
+        """The same labeled pairs, in the same order, over ``dataset``.
+
+        Used when a corpus is rewritten (records added, replaced, or
+        extended with query records) while the supervision stays put.
+        Raises :class:`~repro.exceptions.DataError` when a pair references
+        a record missing from ``dataset``.
+        """
+        return DatasetSplit(
+            *(CandidateSet(dataset, pairs=list(part), intents=part.intents) for part in self)
+        )
 
     def sizes(self) -> dict[str, int]:
         """Number of pairs per split."""

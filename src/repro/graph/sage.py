@@ -481,5 +481,5 @@ def run_classifier_job(
         valid_labels=job.valid_labels,
     )
     elapsed = time.perf_counter() - start
-    state = classifier.model_state() if hasattr(classifier, "model_state") else {}
+    state = classifier.model_state()
     return result.probabilities, result.best_validation_f1, elapsed, state

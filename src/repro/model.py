@@ -1252,18 +1252,9 @@ class QuerySession:
         if runner.cache.memory_artifacts > self.EXACT_CACHE_MAX_ARTIFACTS:
             runner.cache.prune_memory(keep_stages=(STAGE_MATCHER_FIT,))
 
-        def rebuilt(part: CandidateSet) -> CandidateSet:
-            """Re-anchor a split part onto the query-extended corpus."""
-            return CandidateSet(extended, pairs=list(part), intents=model.intents)
-
-        test = rebuilt(model.split.test)
+        split = model.split.reanchor(extended)
         for labeled in query_candidates:
-            test.add(labeled)
-        split = DatasetSplit(
-            train=rebuilt(model.split.train),
-            valid=rebuilt(model.split.valid),
-            test=test,
-        )
+            split.test.add(labeled)
         result: PipelineResult = runner.run(
             split, model.intents, config=model.config, target_intents=requested
         )

@@ -1,7 +1,8 @@
 """Staged FlexER pipeline orchestration with content-addressed caching.
 
-The subsystem decomposes ``FlexER.run_split()`` into addressable stages
-(matcher-fit → representation → graph-build → per-intent GNN), caches
+The subsystem is the one code path that runs FlexER: it executes the
+algorithm as addressable stages (matcher-fit → representation →
+graph-build → per-intent GNN), caches
 each stage's artifact under a fingerprint of its config + input data,
 and executes (dataset × config) scenario grids with shared caching:
 

@@ -878,11 +878,9 @@ def _command_retrieval_eval(args: argparse.Namespace) -> int:
 
 def _command_update(args: argparse.Namespace) -> int:
     """Absorb held-out records (and deletes) into a persisted model."""
-    from ..data.pairs import CandidateSet
-    from ..data.records import Dataset
-    from ..data.splits import DatasetSplit
     from ..datasets import stream_chunks
     from ..model import ResolverModel
+    from ..update import refit_live_corpus
 
     benchmark = load_benchmark(
         args.dataset,
@@ -983,36 +981,7 @@ def _command_update(args: argparse.Namespace) -> int:
         # The strict contract: a fresh fit on the union corpus — same
         # supervision pairs, re-anchored over the live records — must
         # answer exact-mode queries byte-identically.
-        live = Dataset(
-            records=[
-                record
-                for record in model.corpus
-                if record.record_id not in model.tombstones
-            ],
-            name=model.corpus.name,
-            attributes=model.corpus.attributes,
-        )
-
-        def reanchor(part):
-            """Re-anchor a split part's pairs over the union corpus."""
-            return CandidateSet(live, pairs=list(part), intents=model.intents)
-
-        fresh_split = DatasetSplit(
-            train=reanchor(model.split.train),
-            valid=reanchor(model.split.valid),
-            test=reanchor(model.split.test),
-        )
-        runner = PipelineRunner(
-            cache=_make_cache(args),
-            augment_with_scores=model.augment_with_scores,
-            feature_config=model.feature_config,
-        )
-        fresh = runner.fit_model(
-            fresh_split,
-            model.intents,
-            config=model.config,
-            retriever=model.retriever_spec,
-        ).model
+        fresh = refit_live_corpus(model)
         parity = fresh.query(probes, k=args.query_k, mode=args.query_mode)
         _dump_query_result(parity, args.parity_dump)
         print(f"fresh-fit parity artifact written to {args.parity_dump}")

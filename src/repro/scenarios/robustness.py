@@ -31,9 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..data.pairs import CandidateSet
 from ..data.records import Dataset, Record
-from ..data.splits import DatasetSplit
 from ..evaluation import evaluate_binary
 from ..matching.features import PairFeatureConfig
 from .base import (
@@ -286,18 +284,6 @@ class RobustnessGridScenario(WorkloadScenario):
 
     # ------------------------------------------------------------------ cells
 
-    def _reanchored_split(self, benchmark, corrupted: Dataset) -> DatasetSplit:
-        """The benchmark's supervision split over the corrupted corpus."""
-
-        def reanchor(part):
-            return CandidateSet(corrupted, pairs=list(part), intents=benchmark.intents)
-
-        return DatasetSplit(
-            train=reanchor(benchmark.split.train),
-            valid=reanchor(benchmark.split.valid),
-            test=reanchor(benchmark.split.test),
-        )
-
     def _run_solver_cells(
         self, corrupted, level_name, context, matrix, cell_timings
     ) -> None:
@@ -307,7 +293,7 @@ class RobustnessGridScenario(WorkloadScenario):
         from ..pipeline.runner import PipelineRunner
 
         benchmark = context["benchmark"]
-        split = self._reanchored_split(benchmark, corrupted)
+        split = benchmark.split.reanchor(corrupted)
         batch = BatchRunner(
             runner=PipelineRunner(feature_config=context["feature_config"])
         )

@@ -91,42 +91,16 @@ def timestamped_chunks(
 def assert_exact_parity(model, probes: Sequence[Record], query_k: int) -> dict[str, object]:
     """Assert the updated model's exact-mode parity with a fresh union fit.
 
-    Re-anchors the model's supervision split over the live (union)
-    corpus, fits a fresh model with the same configuration and
-    retriever spec, and compares the exact-mode probe query of both
-    models array-for-array.  Raises
+    Refits a fresh model on the live (union) corpus with
+    :func:`~repro.update.refit_live_corpus` and compares the exact-mode
+    probe query of both models array-for-array.  Raises
     :class:`~repro.exceptions.ScenarioError` on any mismatch; returns
     the deterministic parity summary otherwise.
     """
-    from ..data.pairs import CandidateSet
-    from ..data.splits import DatasetSplit
-    from ..pipeline import PipelineRunner
+    from ..update import refit_live_corpus
 
     updated = model.query(probes, k=query_k, mode="exact")
-
-    live = Dataset(
-        records=[
-            record for record in model.corpus if record.record_id not in model.tombstones
-        ],
-        name=model.corpus.name,
-        attributes=model.corpus.attributes,
-    )
-
-    def reanchor(part):
-        return CandidateSet(live, pairs=list(part), intents=model.intents)
-
-    fresh_split = DatasetSplit(
-        train=reanchor(model.split.train),
-        valid=reanchor(model.split.valid),
-        test=reanchor(model.split.test),
-    )
-    runner = PipelineRunner(
-        augment_with_scores=model.augment_with_scores,
-        feature_config=model.feature_config,
-    )
-    fresh = runner.fit_model(
-        fresh_split, model.intents, config=model.config, retriever=model.retriever_spec
-    ).model
+    fresh = refit_live_corpus(model)
     fresh_result = fresh.query(probes, k=query_k, mode="exact")
 
     updated_arrays, updated_meta = updated.as_arrays()

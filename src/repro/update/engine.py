@@ -23,7 +23,8 @@ Deliberate approximations of the incremental path (each repaired by
 compaction): existing nodes are not re-wired to newly introduced pairs,
 tombstoned pairs keep their graph nodes, and supervision referencing
 modified records goes stale.  :func:`compact_model` discards all of it
-with a fresh pipeline refit over the live corpus.
+with a fresh pipeline refit over the live corpus
+(:func:`refit_live_corpus`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,13 @@ from ..graph.sage import FrozenSAGE
 from .delta import CorpusDelta
 from .drift import DriftMetrics
 
-__all__ = ["UpdateResult", "apply_delta_to_model", "compact_model", "corpus_pair_order"]
+__all__ = [
+    "UpdateResult",
+    "apply_delta_to_model",
+    "compact_model",
+    "corpus_pair_order",
+    "refit_live_corpus",
+]
 
 
 @dataclass
@@ -142,17 +149,6 @@ def _rebuilt_dataset(model, delta: CorpusDelta) -> Dataset:
         raise UpdateError(
             f"upserted records do not conform to the corpus schema: {error}"
         ) from error
-
-
-def _reanchor_split(split: DatasetSplit, dataset: Dataset, intents) -> DatasetSplit:
-    """The same labeled pairs, re-anchored onto the updated dataset."""
-
-    def rebuilt(part: CandidateSet) -> CandidateSet:
-        return CandidateSet(dataset, pairs=list(part), intents=intents)
-
-    return DatasetSplit(
-        train=rebuilt(split.train), valid=rebuilt(split.valid), test=rebuilt(split.test)
-    )
 
 
 def _pair_representations(model, dataset: Dataset, pair: RecordPair) -> dict[str, np.ndarray]:
@@ -372,7 +368,7 @@ def apply_delta_to_model(model, delta: CorpusDelta, pair_k: int | None = None) -
     split_ids = _split_record_ids(model.split)
     stale = (set(modified) | set(resurrected) | set(delta.deletes)) & split_ids
     model._stale_supervision += len(stale)
-    model.split = _reanchor_split(model.split, dataset, model.intents)
+    model.split = model.split.reanchor(dataset)
     model.corpus = dataset
 
     # 2. Retriever delta.
@@ -436,20 +432,18 @@ def apply_delta_to_model(model, delta: CorpusDelta, pair_k: int | None = None) -
     )
 
 
-def compact_model(model) -> None:
-    """Discard incremental state with a full refit over the live corpus.
+def refit_live_corpus(model):
+    """A fresh :class:`~repro.model.ResolverModel` fitted on the live corpus.
 
     Tombstoned records are dropped for real, split pairs referencing
     them are removed, and the staged pipeline refits the model from
-    scratch (deterministically, through a fresh private cache).  The
-    refitted state replaces the model's in place; update pairs, touched
-    ids, stale-supervision counters, and pending segments are all reset,
-    and the model is marked rebased so the next ``save()`` writes a full
-    artifact instead of appending segments.
+    scratch with the model's configuration and retriever spec
+    (deterministically, through a fresh private cache).  ``model`` is
+    left untouched.  Raises :class:`~repro.exceptions.UpdateError` when
+    the live corpus, or the train or test supervision over it, is empty.
     """
     # Imported lazily: repro.pipeline.runner imports repro.model at
     # start-up, which must not require this module first.
-    from ..pipeline.cache import ArtifactCache
     from ..pipeline.runner import PipelineRunner
 
     tombstones = set(model.tombstones)
@@ -457,39 +451,45 @@ def compact_model(model) -> None:
         record for record in model.corpus if record.record_id not in tombstones
     ]
     if not live_records:
-        raise UpdateError("compaction would leave an empty corpus")
+        raise UpdateError("every corpus record is tombstoned; nothing is left to refit")
     dataset = Dataset(
         records=live_records, name=model.corpus.name, attributes=model.corpus.attributes
     )
 
-    def rebuilt(part: CandidateSet) -> CandidateSet:
-        kept = [
-            labeled
-            for labeled in part
-            if labeled.pair.left_id not in tombstones
-            and labeled.pair.right_id not in tombstones
-        ]
-        return CandidateSet(dataset, pairs=kept, intents=model.intents)
+    def live_pairs(part: CandidateSet) -> CandidateSet:
+        return part.subset(
+            [
+                index
+                for index, pair in enumerate(part.pairs)
+                if pair.left_id not in tombstones and pair.right_id not in tombstones
+            ]
+        )
 
-    split = DatasetSplit(
-        train=rebuilt(model.split.train),
-        valid=rebuilt(model.split.valid),
-        test=rebuilt(model.split.test),
-    )
+    split = DatasetSplit(*(live_pairs(part) for part in model.split)).reanchor(dataset)
     if len(split.train) == 0 or len(split.test) == 0:
         raise UpdateError(
-            "compaction dropped every train or test pair; the deletes have "
+            "the live corpus keeps no train or test pair; the deletes have "
             "invalidated too much supervision for a refit"
         )
     runner = PipelineRunner(
-        cache=ArtifactCache(),
         augment_with_scores=model.augment_with_scores,
         feature_config=model.feature_config,
     )
-    fresh = runner.fit_model(
+    return runner.fit_model(
         split, model.intents, config=model.config, retriever=model.retriever_spec
     ).model
 
+
+def compact_model(model) -> None:
+    """Discard incremental state with a full refit over the live corpus.
+
+    The model's fitted state is replaced in place by
+    :func:`refit_live_corpus`'s; update pairs, touched ids,
+    stale-supervision counters, and pending segments are all reset, and
+    the model is marked rebased so the next ``save()`` writes a full
+    artifact instead of appending segments.
+    """
+    fresh = refit_live_corpus(model)
     model.corpus = fresh.corpus
     model.split = fresh.split
     model.solver = fresh.solver

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.data.records import Dataset, Record
 from repro.data.splits import SplitRatio, split_candidates
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DataError
 
 
 class TestSplitRatio:
@@ -80,3 +81,30 @@ class TestDatasetSplit:
 
     def test_sizes_keys(self, tiny_benchmark):
         assert set(tiny_benchmark.split.sizes()) == {"train", "valid", "test"}
+
+    def test_reanchor_keeps_pairs_and_labels_over_new_dataset(self, toy_candidates):
+        split = split_candidates(toy_candidates, SplitRatio(2, 1, 1), seed=1)
+        dataset = toy_candidates.dataset
+        extended = Dataset(
+            records=list(dataset) + [Record(record_id="r7", values={"title": "Nike Air"})],
+            name=dataset.name,
+            attributes=dataset.attributes,
+        )
+        moved = split.reanchor(extended)
+        for before, after in zip(split, moved):
+            assert after.dataset is extended
+            assert after.pairs == before.pairs
+            assert after.intents == before.intents
+            assert (after.label_matrix() == before.label_matrix()).all()
+
+    def test_reanchor_rejects_pairs_outside_the_dataset(self, toy_candidates):
+        split = split_candidates(toy_candidates, SplitRatio(2, 1, 1), seed=1)
+        dropped = split.train.pairs[0].left_id
+        dataset = toy_candidates.dataset
+        shrunk = Dataset(
+            records=[record for record in dataset if record.record_id != dropped],
+            name=dataset.name,
+            attributes=dataset.attributes,
+        )
+        with pytest.raises(DataError, match="outside the dataset"):
+            split.reanchor(shrunk)

@@ -73,6 +73,31 @@ class TestFit:
         assert warm.pipeline.stage_status()[STAGE_MODEL] == "hit"
         assert warm.model.fingerprint() == cold.model.fingerprint()
 
+    def test_gnn_artifact_without_state_is_a_miss(self, model_config, tiny_benchmark):
+        """A gnn artifact cached before GNN state persistence retrains."""
+        from repro.pipeline import Artifact, ArtifactCache, PipelineRunner
+
+        runner = PipelineRunner()
+        cold = runner.fit_model(tiny_benchmark.split, tiny_benchmark.intents, model_config)
+        stale = ArtifactCache()
+        for event in cold.pipeline.events:
+            if event.stage == STAGE_MODEL:
+                continue
+            artifact = runner.cache.get(event.stage, event.key)
+            arrays = {
+                name: array
+                for name, array in artifact.arrays.items()
+                if not name.startswith("state::")
+            }
+            stale.put(event.stage, event.key, Artifact(arrays, dict(artifact.metadata)))
+        warm = PipelineRunner(cache=stale).fit_model(
+            tiny_benchmark.split, tiny_benchmark.intents, model_config
+        )
+        statuses = warm.pipeline.stage_status()
+        assert statuses[STAGE_MATCHER_FIT] == "hit"
+        assert {statuses[f"gnn:{intent}"] for intent in tiny_benchmark.intents} == {"computed"}
+        assert warm.model.fingerprint() == cold.model.fingerprint()
+
     def test_describe(self, model_world):
         model, _, _ = model_world
         description = model.describe()
@@ -208,6 +233,44 @@ class TestPersistence:
                     original.probabilities[intent].view(np.uint64),
                     restored.probabilities[intent].view(np.uint64),
                 ), (mode, intent)
+
+    def test_mmap_load_is_aligned_and_answers_like_eager_load(self, model_world, tmp_path):
+        """Mapped members start on 64-byte boundaries, so a memory-mapped
+        model runs the same numpy kernels as an eagerly loaded one."""
+        from repro.data.serialization import read_artifact_lazy
+
+        model, holdout, _ = model_world
+        path = model.save(tmp_path / "model.npz")
+        arrays, _ = read_artifact_lazy(path)
+        assert arrays.mapped
+        mapped = [key for key in arrays if isinstance(arrays[key], np.memmap)]
+        assert len(mapped) > 10
+        assert [key for key in mapped if arrays[key].ctypes.data % 64] == []
+        eager = repro.load_model(path, mmap=False).query(holdout, k=3, mode="online")
+        lazy = repro.load_model(path, mmap=True).query(holdout, k=3, mode="online")
+        eager_arrays, eager_meta = eager.as_arrays()
+        lazy_arrays, lazy_meta = lazy.as_arrays()
+        assert lazy_meta == eager_meta
+        for key, expected in eager_arrays.items():
+            assert np.array_equal(lazy_arrays[key], expected), key
+
+    def test_plain_savez_model_still_loads_memory_mapped(self, model_world, tmp_path):
+        import json
+
+        from repro.data.serialization import METADATA_KEY, read_artifact
+
+        model, holdout, _ = model_world
+        arrays, metadata = read_artifact(model.save(tmp_path / "model.npz"))
+        legacy = tmp_path / "legacy.npz"
+        document = json.dumps(metadata).encode("utf-8")
+        np.savez(
+            legacy,
+            **{f"array::{key}": value for key, value in arrays.items()},
+            **{METADATA_KEY: np.frombuffer(document, dtype=np.uint8)},
+        )
+        loaded = repro.load_model(legacy, mmap=True)
+        assert loaded.fingerprint() == model.fingerprint()
+        assert loaded.query(holdout, k=3).pairs == model.query(holdout, k=3).pairs
 
     def test_saved_artifact_dump_is_deterministic(self, model_world, tmp_path):
         model, _, _ = model_world

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import CacheConfig, FlexERConfig, GNNConfig, GraphConfig, MatcherConfig
+from repro.core import combine_candidate_sets, compute_representations
 from repro.data.serialization import read_artifact, write_artifact
 from repro.datasets import load_benchmark
 from repro.exceptions import DataError, IntentError
@@ -22,6 +23,7 @@ from repro.pipeline import (
     fingerprint_candidates,
     k_sweep,
 )
+from repro.registry import GRAPH_BUILDERS, INTENT_CLASSIFIERS, SOLVERS
 
 
 @pytest.fixture(scope="module")
@@ -287,26 +289,45 @@ class TestPipelineCaching:
             )
 
 
+def _reference_flexer_run(split, intents, config, target):
+    """FlexER (Section 4) composed straight from the registries, uncached.
+
+    Returns the target intent's test-pair probabilities and the graph.
+    """
+    valid = split.valid if len(split.valid) > 0 else None
+    solver = SOLVERS.create(config.solver, intents=intents, matcher_config=config.matcher)
+    solver.fit(split.train)
+    parts = [split.train] + ([valid] if valid is not None else []) + [split.test]
+    combined, ranges = combine_candidate_sets(parts)
+    representations = compute_representations(solver, combined)
+    builder = GRAPH_BUILDERS.create(config.graph_builder, config=config.graph)
+    graph = builder.build(representations, intents=tuple(intents))
+    classifier = INTENT_CLASSIFIERS.create(config.classifier, config=config.gnn)
+    result = classifier.fit_predict(
+        graph,
+        target_intent=target,
+        train_index=ranges[0],
+        train_labels=split.train.labels(target),
+        valid_index=ranges[1] if valid is not None else None,
+        valid_labels=valid.labels(target) if valid is not None else None,
+    )
+    return result.probabilities[ranges[-1]], graph
+
+
 class TestPipelineMatchesFlexER:
     def test_pipeline_reproduces_flexer_run(self, pipeline_benchmark, pipeline_config):
-        """The staged runner is a refactoring of FlexER.run_split."""
-        from repro.core import FlexER
-
-        flexer = FlexER(pipeline_benchmark.intents, pipeline_config)
-        split = pipeline_benchmark.split
-        flexer.fit(split.train, split.valid if len(split.valid) > 0 else None)
-        direct = flexer.predict(split.test, target_intents=(EQUIVALENCE,))
+        """The staged runner is bit-identical to the uncached composition."""
+        probabilities, graph = _reference_flexer_run(
+            pipeline_benchmark.split, pipeline_benchmark.intents, pipeline_config, EQUIVALENCE
+        )
         staged = PipelineRunner().run(
             pipeline_benchmark.split,
             pipeline_benchmark.intents,
             pipeline_config,
             target_intents=(EQUIVALENCE,),
         )
-        assert np.array_equal(
-            direct.solution.probabilities[EQUIVALENCE],
-            staged.solution.probabilities[EQUIVALENCE],
-        )
-        assert direct.graph.in_neighbors == staged.graph.in_neighbors
+        assert np.array_equal(probabilities, staged.solution.probabilities[EQUIVALENCE])
+        assert graph.in_neighbors == staged.graph.in_neighbors
 
 
 class TestBatchRunner:

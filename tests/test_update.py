@@ -41,6 +41,7 @@ from repro.update import (
     build_delta,
     corpus_pair_order,
     fingerprint_segment,
+    refit_live_corpus,
 )
 
 
@@ -403,6 +404,26 @@ class TestCompaction:
             updated.query(probes, k=3, mode="exact"),
             fresh_union_fit(updated).query(probes, k=3, mode="exact"),
         )
+
+    def test_refit_live_corpus_drops_tombstoned_split_pairs(self, update_world):
+        model, _, _ = update_world
+        updated = clone(model)
+        dead = updated.split.test.pairs[0].left_id
+        updated.update(deletes=[dead], compact="never")
+        fresh = refit_live_corpus(updated)
+        assert dead in updated.tombstones and dead in updated.corpus
+        assert dead not in fresh.corpus
+        for before, after in zip(updated.split, fresh.split):
+            kept = [pair for pair in before.pairs if dead not in pair.as_tuple()]
+            assert after.pairs == kept
+            assert after.dataset is fresh.corpus
+
+    def test_refit_live_corpus_rejects_an_empty_live_corpus(self, update_world):
+        model, _, _ = update_world
+        updated = clone(model)
+        updated.tombstones = {record.record_id for record in updated.corpus}
+        with pytest.raises(UpdateError, match="tombstoned"):
+            refit_live_corpus(updated)
 
     def test_aggressive_policy_compacts_on_drift(self, update_world):
         model, holdout, _ = update_world
